@@ -1,29 +1,28 @@
 #!/usr/bin/env bash
-# Disk-efficiency regression gate.
+# Disk- and network-efficiency regression gate.
 #
 # Every bench binary writes <binary>.metrics.json (the drained facility
 # metrics). This script runs the I/O- and message-sensitive benches and
 # snapshots the counters that measure disk and network efficiency —
-# references, arm travel, bus exchanges, writeback batches — into
-# bench/baselines/<bench>.json:
+# references, arm travel, bus exchanges, writeback batches, peer serving —
+# into bench/baselines/<bench>.json:
 #
 #   scripts/bench_baseline.sh            # (re)record the baselines
 #   scripts/bench_baseline.sh --check    # fail if any counter regressed >10%
 #
-# The baselines are committed: a change that makes the same workload issue
-# more disk references or longer seeks than 1.10x the recorded value fails
-# `--check` (which scripts/check.sh runs), so batching/elevator wins cannot
-# silently rot. Lower is always better for these counters; improvements
-# should be re-recorded.
+# The baselines are committed, and `--check` (which scripts/check.sh runs)
+# knows which way each counter is better. A lower-is-better counter (disk
+# references, seeks, exchanges) fails above 1.10x its recorded value; a
+# higher-is-better one (peer serves, redirects: work kept off the origin)
+# fails below 0.90x. So batching/elevator wins and the cache tier's
+# peer-serve path cannot silently rot. Improvements should be re-recorded.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 BENCHES=(bench_contiguous_read bench_fault_recovery bench_striping bench_group_commit bench_messages_per_op bench_client_cache bench_replica_faults bench_shard_scaling bench_callback_storm bench_snapshot bench_read_fanout)
-KEYS=(disk.read_references disk.write_references disk.tracks_seeked txn.log.forces bus.calls agent.writeback_batches replication.degraded_writes replication.hints_queued replication.read_repairs placement.lookups placement.reroutes file.callback_breaks agent.callback_renewals file.cow_blocks_copied agent.peer_serves file.redirects_issued)
 BUILD=build
 BASELINES=bench/baselines
-TOLERANCE=1.10
 
 mode="record"
 if [[ "${1:-}" == "--check" ]]; then
@@ -36,50 +35,59 @@ fi
 
 mkdir -p "$BASELINES"
 
-extract() {
-  # extract <metrics.json> <out.json> — pull the key counters.
-  python3 - "$1" "$2" <<'EOF'
+gate() {
+  # gate extract <metrics.json> <out.json>         — pull the gated counters
+  # gate compare <bench> <baseline.json> <current.json> — fail on regression
+  python3 - "$@" <<'EOF'
 import json, sys
-keys = ("disk.read_references", "disk.write_references",
-        "disk.tracks_seeked", "txn.log.forces",
-        "bus.calls", "agent.writeback_batches",
-        "replication.degraded_writes", "replication.hints_queued",
-        "replication.read_repairs", "placement.lookups",
-        "placement.reroutes", "file.callback_breaks",
-        "agent.callback_renewals", "file.cow_blocks_copied",
-        "agent.peer_serves", "file.redirects_issued")
-with open(sys.argv[1]) as f:
-    snap = json.load(f)
-counters = snap.get("counters", {})
-picked = {k: int(counters.get(k, 0)) for k in keys}
-with open(sys.argv[2], "w") as f:
-    json.dump(picked, f, indent=2, sort_keys=True)
-    f.write("\n")
-EOF
-}
 
-compare() {
-  # compare <bench> <baseline.json> <current.json> — >10% worse fails.
-  python3 - "$1" "$2" "$3" <<'EOF'
-import json, sys
-bench, base_path, cur_path = sys.argv[1:4]
+# The one gate table: counter -> the direction in which it is better.
+KEYS = {
+    "disk.read_references": "lower",
+    "disk.write_references": "lower",
+    "disk.tracks_seeked": "lower",
+    "txn.log.forces": "lower",
+    "bus.calls": "lower",
+    "agent.writeback_batches": "lower",
+    "replication.degraded_writes": "lower",
+    "replication.hints_queued": "lower",
+    "replication.read_repairs": "lower",
+    "placement.lookups": "lower",
+    "placement.reroutes": "lower",
+    "file.callback_breaks": "lower",
+    "agent.callback_renewals": "lower",
+    "file.cow_blocks_copied": "lower",
+    "agent.peer_serves": "higher",
+    "file.redirects_issued": "higher",
+}
+TOLERANCE = 0.10
+
+if sys.argv[1] == "extract":
+    with open(sys.argv[2]) as f:
+        counters = json.load(f).get("counters", {})
+    picked = {k: int(counters.get(k, 0)) for k in KEYS}
+    with open(sys.argv[3], "w") as f:
+        json.dump(picked, f, indent=2, sort_keys=True)
+        f.write("\n")
+    sys.exit(0)
+
+bench, base_path, cur_path = sys.argv[2:5]
 with open(base_path) as f:
     base = json.load(f)
 with open(cur_path) as f:
     cur = json.load(f)
-tolerance = 1.10
 failed = False
 for key, base_value in sorted(base.items()):
     value = cur.get(key, 0)
-    limit = base_value * tolerance
-    status = "ok"
-    if base_value > 0 and value > limit:
-        status = "REGRESSED"
-        failed = True
-    elif base_value == 0 and value > 0:
-        status = "REGRESSED"
-        failed = True
-    print(f"  {bench}: {key} baseline={base_value} now={value} [{status}]")
+    better = KEYS.get(key, "lower")
+    if better == "lower":
+        regressed = value > base_value * (1 + TOLERANCE)
+    else:
+        regressed = value < base_value * (1 - TOLERANCE)
+    failed |= regressed
+    status = "REGRESSED" if regressed else "ok"
+    print(f"  {bench}: {key} ({better} is better) baseline={base_value} "
+          f"now={value} [{status}]")
 if failed:
     sys.exit(1)
 EOF
@@ -103,23 +111,23 @@ for bench in "${BENCHES[@]}"; do
     exit 1
   fi
   if [[ "$mode" == "record" ]]; then
-    extract "$metrics" "$BASELINES/$bench.json"
+    gate extract "$metrics" "$BASELINES/$bench.json"
     echo "  recorded $BASELINES/$bench.json"
   else
     if [[ ! -f "$BASELINES/$bench.json" ]]; then
       echo "  no baseline for $bench — run scripts/bench_baseline.sh first" >&2
       exit 2
     fi
-    extract "$metrics" "$BUILD/$bench.current.json"
-    compare "$bench" "$BASELINES/$bench.json" "$BUILD/$bench.current.json" \
-      || fail=1
+    gate extract "$metrics" "$BUILD/$bench.current.json"
+    gate compare "$bench" "$BASELINES/$bench.json" \
+      "$BUILD/$bench.current.json" || fail=1
   fi
 done
 
 if [[ "$mode" == "check" ]]; then
   if [[ $fail -ne 0 ]]; then
-    echo "disk-efficiency baselines regressed (>$TOLERANCE x)" >&2
+    echo "efficiency baselines regressed (>10% the worse way)" >&2
     exit 1
   fi
-  echo "disk-efficiency baselines hold."
+  echo "efficiency baselines hold."
 fi

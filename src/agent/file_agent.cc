@@ -26,14 +26,14 @@ FileAgent::FileAgent(MachineId machine, sim::MessageBus* bus,
                      FileAgentConfig config)
     : machine_(machine),
       bus_(bus),
+      caller_("machine-" + std::to_string(machine.value)),
       naming_(naming),
       config_(config),
       next_descriptor_(kFirstAgentDescriptor) {
   // Identify the machine to the bus so FaultPlan partitions can cut a
   // single caller off from the file service.
   rpcs_.push_back(std::make_unique<sim::RpcClient>(
-      bus, std::move(fs_address), RetryOf(config),
-      "machine-" + std::to_string(machine.value)));
+      bus, std::move(fs_address), RetryOf(config), caller_));
   RegisterCallbackService();
 }
 
@@ -42,14 +42,14 @@ FileAgent::FileAgent(MachineId machine, sim::MessageBus* bus,
                      naming::NamingFacade* naming, FileAgentConfig config)
     : machine_(machine),
       bus_(bus),
+      caller_("machine-" + std::to_string(machine.value)),
       router_(router),
       naming_(naming),
       config_(config),
       next_descriptor_(kFirstAgentDescriptor) {
-  const std::string caller = "machine-" + std::to_string(machine.value);
   for (std::uint32_t s = 0; s < router->ShardCount(); ++s) {
     rpcs_.push_back(std::make_unique<sim::RpcClient>(
-        bus, router->AddressOf(s), RetryOf(config), caller));
+        bus, router->AddressOf(s), RetryOf(config), caller_));
   }
   RegisterCallbackService();
 }
@@ -175,18 +175,17 @@ Result<std::uint64_t> FileAgent::FetchFromPeers(
     std::uint64_t expected_version, const std::vector<std::string>& peers) {
   PeerReadRequest preq{file, offset, out.size(), expected_version};
   const auto body = preq.Encode();
-  const std::string caller = "machine-" + std::to_string(machine_.value);
   for (const std::string& peer : peers) {
     if (peer == cb_address_) continue;  // never serve ourselves
     const SimTime t0 = bus_->clock()->Now();
     // One direct bus call per candidate — no retries: a dead or busy peer
     // costs one exchange and the reader moves on to the next candidate.
     auto r = bus_->Call(peer, static_cast<std::uint32_t>(FsOp::kPeerRead),
-                        body, caller);
+                        body, caller_);
     if (!r.ok()) continue;
     Deserializer in{*r};
     if (Status st = DecodeStatus(in); !st.ok()) continue;  // kBusy/refused
-    const std::vector<std::uint8_t> data = in.Bytes();
+    const std::span<const std::uint8_t> data = in.BytesView();
     if (!in.ok()) continue;
     // Adoption check: the bytes are valid at exactly expected_version. If a
     // break landed while we were fetching (our token moved) or our own
@@ -726,7 +725,7 @@ Status FileAgent::EvictOne() {
 }
 
 Status FileAgent::InsertBlock(FileId file, std::uint64_t block,
-                              std::span<const std::uint8_t> data,
+                              std::vector<std::uint8_t> data,
                               std::uint64_t valid_bytes, bool dirty) {
   if (config_.cache_blocks == 0) return OkStatus();
   if (CacheEntry* existing = Lookup(file, block)) {
@@ -743,9 +742,8 @@ Status FileAgent::InsertBlock(FileId file, std::uint64_t block,
     RHODOS_RETURN_IF_ERROR(EvictOne());
   }
   CacheEntry entry;
-  entry.data.assign(kBlockSize, 0);
-  std::memcpy(entry.data.data(), data.data(),
-              std::min<std::size_t>(data.size(), kBlockSize));
+  entry.data = std::move(data);
+  entry.data.resize(kBlockSize);
   entry.valid_bytes = valid_bytes;
   entry.dirty = dirty;
   const CacheKey key{file, block};
@@ -775,7 +773,7 @@ Result<std::uint64_t> FileAgent::ServerPread(FileId file,
     const std::uint64_t version = in.U64();
     const std::uint8_t kind = in.U8();
     if (kind == kPreadReplyData) {
-      const std::vector<std::uint8_t> data = in.Bytes();
+      const std::span<const std::uint8_t> data = in.BytesView();
       const SimTime expiry = in.I64();
       if (!in.ok()) return Error{ErrorCode::kInternal, "bad pread reply"};
       NoteVersion(file, version);
@@ -870,11 +868,11 @@ Result<std::uint64_t> FileAgent::CachedRead(OpenHandle& h,
     RHODOS_ASSIGN_OR_RETURN(
         std::uint64_t got,
         ServerPread(h.file, block * kBlockSize, blockbuf));
-    RHODOS_RETURN_IF_ERROR(
-        InsertBlock(h.file, block, blockbuf, got, /*dirty=*/false));
     const std::uint64_t usable = got > in_block ? got - in_block : 0;
     const std::uint64_t take = std::min(n, usable);
     std::memcpy(out.data() + done, blockbuf.data() + in_block, take);
+    RHODOS_RETURN_IF_ERROR(InsertBlock(h.file, block, std::move(blockbuf), got,
+                                       /*dirty=*/false));
     done += take;
     if (take < n) break;  // short read from the server: stop at its EOF
   }
@@ -928,7 +926,8 @@ Result<std::uint64_t> FileAgent::CachedWrite(OpenHandle& h,
         ++stats_.cache_misses;
       }
       RHODOS_RETURN_IF_ERROR(
-          InsertBlock(h.file, block, blockbuf, valid, /*dirty=*/false));
+          InsertBlock(h.file, block, std::move(blockbuf), valid,
+                      /*dirty=*/false));
       entry = Lookup(h.file, block);
     } else {
       ++stats_.cache_hits;

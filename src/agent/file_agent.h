@@ -249,8 +249,9 @@ class FileAgent {
 
   // Cache plumbing.
   CacheEntry* Lookup(FileId file, std::uint64_t block);
+  // `data` is a whole-block buffer; a new cache entry adopts it.
   Status InsertBlock(FileId file, std::uint64_t block,
-                     std::span<const std::uint8_t> data,
+                     std::vector<std::uint8_t> data,
                      std::uint64_t valid_bytes, bool dirty);
   Status EvictOne();
 
@@ -329,6 +330,8 @@ class FileAgent {
 
   MachineId machine_;
   sim::MessageBus* bus_;
+  // This machine's name as a bus caller ("machine-N"): partitions cut it off.
+  std::string caller_;
   // One at-least-once client per metadata shard (a single entry when the
   // facility is unsharded). Null router means "everything is shard 0".
   std::vector<std::unique_ptr<sim::RpcClient>> rpcs_;

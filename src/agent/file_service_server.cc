@@ -1,6 +1,7 @@
 #include "agent/file_service_server.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/parallel.h"
 
@@ -33,6 +34,14 @@ std::string_view OpName(FsOp op) {
     case FsOp::kPeerRead: return "peer-read";
   }
   return "unknown";
+}
+
+// True when one of the coalesced `ranges` covers [first, end).
+bool Covers(const std::map<std::uint64_t, std::uint64_t>& ranges,
+            std::uint64_t first, std::uint64_t end) {
+  auto it = ranges.upper_bound(first);
+  if (it == ranges.begin()) return false;
+  return std::prev(it)->second >= end;
 }
 
 }  // namespace
@@ -77,12 +86,57 @@ FileServiceServer::~FileServiceServer() {
 std::size_t FileServiceServer::CallbackHolderCount() const {
   std::size_t n = 0;
   const SimTime now = service_->clock()->Now();
-  for (const auto& [file, holders] : callbacks_) {
-    for (const Holder& h : holders) {
-      if (h.expiry > now) ++n;
+  for (const auto& [file, table] : callbacks_) {
+    for (const auto& [endpoint, slot] : table.index) {
+      if (table.slots[slot].expiry > now) ++n;
     }
   }
   return n;
+}
+
+std::size_t FileServiceServer::CallbackHolderCountScanned() const {
+  std::size_t n = 0;
+  const SimTime now = service_->clock()->Now();
+  for (const auto& [file, table] : callbacks_) {
+    for (const Holder& h : table.slots) {
+      if (h.endpoint != sim::kNoEndpoint && h.expiry > now) ++n;
+    }
+  }
+  return n;
+}
+
+std::vector<std::string> FileServiceServer::PeerCandidatesIndexed(
+    FileId file, std::uint64_t block) const {
+  std::vector<std::string> out;
+  const auto it = callbacks_.find(file.value);
+  if (it == callbacks_.end()) return out;
+  const auto cit = it->second.by_block.find(block);
+  if (cit == it->second.by_block.end()) return out;
+  const SimTime now = service_->clock()->Now();
+  for (const std::uint32_t slot : cit->second) {
+    const Holder& h = it->second.slots[slot];
+    if (h.endpoint != sim::kNoEndpoint && h.expiry > now) {
+      out.push_back(bus_->AddressOf(h.endpoint));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::string> FileServiceServer::PeerCandidatesScanned(
+    FileId file, std::uint64_t block) const {
+  std::vector<std::string> out;
+  const auto it = callbacks_.find(file.value);
+  if (it == callbacks_.end()) return out;
+  const SimTime now = service_->clock()->Now();
+  for (const Holder& h : it->second.slots) {
+    if (h.endpoint != sim::kNoEndpoint && h.expiry > now &&
+        Covers(h.blocks, block, block + 1)) {
+      out.push_back(bus_->AddressOf(h.endpoint));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::size_t FileServiceServer::HotFileCount() const {
@@ -127,92 +181,173 @@ bool FileServiceServer::NoteReadLoad(FileId file) {
          load.prev >= ct_config_.hot_read_threshold;
 }
 
-void FileServiceServer::NoteHeldBlocks(FileId file, const std::string& cb,
-                                       std::uint64_t first_block,
-                                       std::uint64_t end_block) {
-  if (cb.empty() || end_block <= first_block) return;
-  auto it = callbacks_.find(file.value);
-  if (it == callbacks_.end()) return;
-  for (Holder& h : it->second) {
-    if (h.address != cb) continue;
-    // Insert then coalesce with neighbours (ranges stay disjoint+sorted).
-    auto [rit, inserted] = h.blocks.emplace(first_block, end_block);
-    if (!inserted) {
-      rit->second = std::max(rit->second, end_block);
+void FileServiceServer::AddBlocks(HolderTable& table, std::uint32_t slot,
+                                  std::uint64_t first_block,
+                                  std::uint64_t end_block) {
+  // Merge [first_block, end_block) into the disjoint sorted ranges, absorbing
+  // every range it overlaps or touches; the gaps it fills are the newly
+  // registered blocks, each entered once into its candidate array.
+  auto& ranges = table.slots[slot].blocks;
+  auto fresh = [&](std::uint64_t from, std::uint64_t to) {
+    for (std::uint64_t b = from; b < to; ++b) {
+      table.by_block[b].push_back(slot);
     }
-    if (rit != h.blocks.begin()) {
-      auto prev = std::prev(rit);
-      if (prev->second >= rit->first) {
-        prev->second = std::max(prev->second, rit->second);
-        h.blocks.erase(rit);
-        rit = prev;
-      }
-    }
-    auto next = std::next(rit);
-    while (next != h.blocks.end() && rit->second >= next->first) {
-      rit->second = std::max(rit->second, next->second);
-      next = h.blocks.erase(next);
-    }
-    return;
+  };
+  auto it = ranges.upper_bound(first_block);
+  if (it != ranges.begin() && std::prev(it)->second >= first_block) --it;
+  std::uint64_t lo = first_block, hi = end_block, pos = first_block;
+  while (it != ranges.end() && it->first <= end_block) {
+    fresh(pos, std::min(it->first, end_block));
+    pos = std::max(pos, it->second);
+    lo = std::min(lo, it->first);
+    hi = std::max(hi, it->second);
+    it = ranges.erase(it);
   }
+  fresh(pos, end_block);
+  ranges.emplace_hint(it, lo, hi);
 }
 
-std::vector<std::string> FileServiceServer::PickPeers(
-    FileId file, const std::string& requester, std::uint64_t first_block,
+void FileServiceServer::NoteHeldBlocks(FileId file, sim::EndpointId cb,
+                                       std::uint64_t first_block,
+                                       std::uint64_t end_block) {
+  if (cb == sim::kNoEndpoint || end_block <= first_block) return;
+  auto it = callbacks_.find(file.value);
+  if (it == callbacks_.end()) return;
+  const auto hit = it->second.index.find(cb);
+  if (hit == it->second.index.end()) return;
+  AddBlocks(it->second, hit->second, first_block, end_block);
+}
+
+std::vector<sim::EndpointId> FileServiceServer::PickPeers(
+    FileId file, sim::EndpointId requester, std::uint64_t first_block,
     std::uint64_t end_block) {
-  std::vector<std::string> picked;
+  std::vector<sim::EndpointId> picked;
   auto it = callbacks_.find(file.value);
   if (it == callbacks_.end()) return picked;
+  HolderTable& table = it->second;
+  auto cit = table.by_block.find(first_block);
+  if (cit == table.by_block.end()) return picked;
+  std::vector<std::uint32_t>& cands = cit->second;
   const SimTime now = service_->clock()->Now();
-  std::vector<Holder*> candidates;
-  for (Holder& h : it->second) {
-    if (h.expiry <= now || h.address == requester) continue;
-    // The holder must (be believed to) cache the whole requested range:
-    // one covering range, since ranges are coalesced.
-    auto rit = h.blocks.upper_bound(first_block);
-    if (rit == h.blocks.begin()) continue;
-    --rit;
-    if (rit->second < end_block) continue;
-    candidates.push_back(&h);
-  }
-  const std::size_t want =
-      std::min<std::size_t>(ct_config_.redirect_peers, candidates.size());
-  for (std::size_t i = 0; i < want; ++i) {
+  // cands[0, pool) may still be drawn by this pick. An entry that fails
+  // validation leaves the pool: for good when its holder is gone (the slot
+  // was vacated, or the lease lapsed and the holder is pruned here), for
+  // this pick only when it is the requester or does not cover the whole
+  // range (swapped behind the pool, where it stays in the array).
+  std::size_t pool = cands.size();
+  // Moves cands[i] out of the pool; `held` (an index the caller still
+  // needs) follows its entry if the swap moves it.
+  auto set_aside = [&](std::size_t i, std::size_t* held) {
+    --pool;
+    std::swap(cands[i], cands[pool]);
+    if (held != nullptr && *held == pool) *held = i;
+  };
+  // A uniformly drawn valid candidate's index, or `pool` (== 0) when none.
+  auto draw = [&](std::size_t* held) -> std::size_t {
+    while (pool > 0) {
+      const std::size_t i = NextRand() % pool;
+      const std::uint32_t slot = cands[i];
+      Holder& h = table.slots[slot];
+      if (h.endpoint != sim::kNoEndpoint && h.expiry <= now) {
+        Expire(table, slot);
+      }
+      if (h.endpoint == sim::kNoEndpoint) {
+        set_aside(i, held);
+        cands[pool] = cands.back();
+        cands.pop_back();
+      } else if (h.endpoint == requester ||
+                 (end_block > first_block + 1 &&
+                  !Covers(h.blocks, first_block, end_block))) {
+        set_aside(i, held);
+      } else {
+        return i;
+      }
+    }
+    return pool;
+  };
+  while (picked.size() < ct_config_.redirect_peers) {
     // Power-of-two-choices: sample two remaining candidates, take the one
     // with fewer redirects assigned. With one candidate left, take it.
-    std::size_t a = NextRand() % candidates.size();
-    std::size_t b = NextRand() % candidates.size();
-    std::size_t choice =
-        candidates[a]->serves_assigned <= candidates[b]->serves_assigned ? a
-                                                                         : b;
-    Holder* peer = candidates[choice];
-    if (picked.empty()) ++peer->serves_assigned;  // the primary serves
-    picked.push_back(peer->address);
-    candidates.erase(candidates.begin() +
-                     static_cast<std::ptrdiff_t>(choice));
-    if (candidates.empty()) break;
+    std::size_t a = draw(nullptr);
+    if (a == pool) break;
+    const std::size_t b = draw(&a);
+    const std::size_t choice = table.slots[cands[a]].serves_assigned <=
+                                       table.slots[cands[b]].serves_assigned
+                                   ? a
+                                   : b;
+    Holder& peer = table.slots[cands[choice]];
+    if (picked.empty()) ++peer.serves_assigned;  // the primary serves
+    picked.push_back(peer.endpoint);
+    set_aside(choice, nullptr);
   }
+  if (cands.empty()) table.by_block.erase(cit);
   return picked;
 }
 
-SimTime FileServiceServer::Grant(FileId file, const std::string& cb) {
-  if (!cb_config_.enabled || cb.empty()) return 0;
+sim::EndpointId FileServiceServer::CallbackEndpoint(const std::string& cb) {
+  if (!cb_config_.enabled || cb.empty()) return sim::kNoEndpoint;
+  return bus_->Resolve(cb);
+}
+
+void FileServiceServer::Vacate(HolderTable& table, std::uint32_t slot) {
+  Holder& h = table.slots[slot];
+  table.index.erase(h.endpoint);
+  h = Holder{};  // candidate entries naming this slot are stale from now on
+}
+
+void FileServiceServer::Expire(HolderTable& table, std::uint32_t slot) {
+  Vacate(table, slot);
+  ++stats_.callback_expired;
+}
+
+void FileServiceServer::MaybeCompact(HolderTable& table) {
+  const std::size_t occupied = table.index.size();
+  if (table.slots.size() - occupied <= occupied) return;
+  // Renumber the occupied slots densely, keeping their (grant) order, and
+  // remap the index and candidate arrays; stale entries are dropped.
+  constexpr std::uint32_t kGone = ~std::uint32_t{0};
+  std::vector<std::uint32_t> renumber(table.slots.size(), kGone);
+  std::vector<Holder> slots;
+  slots.reserve(occupied);
+  for (std::uint32_t s = 0; s < table.slots.size(); ++s) {
+    if (table.slots[s].endpoint == sim::kNoEndpoint) continue;
+    renumber[s] = static_cast<std::uint32_t>(slots.size());
+    slots.push_back(std::move(table.slots[s]));
+  }
+  table.slots = std::move(slots);
+  for (auto& [endpoint, slot] : table.index) slot = renumber[slot];
+  for (auto it = table.by_block.begin(); it != table.by_block.end();) {
+    std::vector<std::uint32_t>& cands = it->second;
+    std::size_t kept = 0;
+    for (const std::uint32_t s : cands) {
+      if (renumber[s] != kGone) cands[kept++] = renumber[s];
+    }
+    cands.resize(kept);
+    it = cands.empty() ? table.by_block.erase(it) : std::next(it);
+  }
+}
+
+SimTime FileServiceServer::Grant(FileId file, sim::EndpointId cb) {
+  if (!cb_config_.enabled || cb == sim::kNoEndpoint) return 0;
   const SimTime now = service_->clock()->Now();
-  auto& holders = callbacks_[file.value];
-  std::erase_if(holders, [&](const Holder& h) {
-    if (h.expiry > now) return false;
-    ++stats_.callback_expired;
-    return true;
-  });
   const SimTime expiry = now + cb_config_.lease_ns;
   ++stats_.callback_grants;
-  for (Holder& h : holders) {
-    if (h.address == cb) {
+  HolderTable& table = callbacks_[file.value];
+  if (const auto it = table.index.find(cb); it != table.index.end()) {
+    Holder& h = table.slots[it->second];
+    if (h.expiry > now) {
       h.expiry = expiry;
       return expiry;
     }
+    // A lapsed promise is re-issued from scratch: its block registry and
+    // redirect load lapse with it.
+    Expire(table, it->second);
   }
-  holders.push_back(Holder{cb, expiry});
+  table.index.emplace(cb, static_cast<std::uint32_t>(table.slots.size()));
+  Holder& h = table.slots.emplace_back();
+  h.endpoint = cb;
+  h.expiry = expiry;
+  MaybeCompact(table);
   return expiry;
 }
 
@@ -232,23 +367,31 @@ void FileServiceServer::OnMutation(FileId file, std::uint64_t version) {
   auto it = callbacks_.find(file.value);
   if (it == callbacks_.end()) return;
   const SimTime now = clock->Now();
-  std::vector<Holder> notify;
-  std::vector<Holder> keep;
-  for (Holder& h : it->second) {
-    if (h.address == current_requester_) {
-      // The writer itself: its promise survives — it learns the new
-      // version token from the mutation's own reply.
-      keep.push_back(std::move(h));
-    } else if (h.expiry <= now) {
-      ++stats_.callback_expired;
+  // Every holder but the writer leaves the table: the writer's promise
+  // survives — it learns the new version token from the mutation's own
+  // reply — and the others are broken, or dropped when already expired.
+  struct Break {
+    sim::EndpointId endpoint;
+    SimTime expiry;
+  };
+  std::vector<Break> notify;
+  HolderTable& table = it->second;
+  for (std::uint32_t s = 0; s < table.slots.size(); ++s) {
+    const Holder& h = table.slots[s];
+    if (h.endpoint == sim::kNoEndpoint || h.endpoint == current_requester_) {
+      continue;
+    }
+    if (h.expiry <= now) {
+      Expire(table, s);
     } else {
-      notify.push_back(std::move(h));
+      notify.push_back({h.endpoint, h.expiry});
+      Vacate(table, s);
     }
   }
-  if (keep.empty()) {
+  if (table.index.empty()) {
     callbacks_.erase(it);
   } else {
-    it->second = std::move(keep);
+    MaybeCompact(table);
   }
   if (notify.empty()) return;
   // Break-before-reply: these calls complete before the mutating handler
@@ -260,9 +403,9 @@ void FileServiceServer::OnMutation(FileId file, std::uint64_t version) {
   // Breaks to distinct holders travel in parallel; the writer pays the
   // slowest round trip (plus per-lane dispatch), not the sum.
   sim::ParallelSection section(clock);
-  for (const Holder& h : notify) {
+  for (const Break& b : notify) {
     section.BeginLane();
-    auto r = bus_->Call(h.address,
+    auto r = bus_->Call(b.endpoint,
                         static_cast<std::uint32_t>(FsOp::kCallbackBreak), body,
                         address_);
     if (r.ok()) {
@@ -272,7 +415,7 @@ void FileServiceServer::OnMutation(FileId file, std::uint64_t version) {
       // revoked, so the writer waits out the holder's lease — bounded by
       // lease_ns, the staleness bound the holder was promised.
       ++stats_.callback_break_failures;
-      clock->AdvanceTo(h.expiry);
+      clock->AdvanceTo(b.expiry);
     }
     section.EndLane();
   }
@@ -281,8 +424,8 @@ void FileServiceServer::OnMutation(FileId file, std::uint64_t version) {
 
 void FileServiceServer::OnServiceCrash() {
   SimTime max_expiry = 0;
-  for (const auto& [file, holders] : callbacks_) {
-    for (const Holder& h : holders) {
+  for (const auto& [file, table] : callbacks_) {
+    for (const Holder& h : table.slots) {
       max_expiry = std::max(max_expiry, h.expiry);
     }
   }
@@ -296,14 +439,15 @@ void FileServiceServer::SweepExpired() {
   if (now < next_sweep_) return;
   next_sweep_ = now + cb_config_.sweep_interval_ns;
   for (auto it = callbacks_.begin(); it != callbacks_.end();) {
-    std::erase_if(it->second, [&](const Holder& h) {
-      if (h.expiry > now) return false;
-      ++stats_.callback_expired;
-      return true;
-    });
-    if (it->second.empty()) {
+    HolderTable& table = it->second;
+    for (std::uint32_t s = 0; s < table.slots.size(); ++s) {
+      const Holder& h = table.slots[s];
+      if (h.endpoint != sim::kNoEndpoint && h.expiry <= now) Expire(table, s);
+    }
+    if (table.index.empty()) {
       it = callbacks_.erase(it);
     } else {
+      MaybeCompact(table);
       ++it;
     }
   }
@@ -328,7 +472,7 @@ void FileServiceServer::RememberToken(std::uint64_t token,
 sim::Payload FileServiceServer::Handle(std::uint32_t opcode,
                                        std::span<const std::uint8_t> request) {
   ++stats_.requests;
-  current_requester_.clear();
+  current_requester_ = sim::kNoEndpoint;
   SweepExpired();
   obs::SpanScope span(obs::TracerOf(bus_->observability()), "service",
                       OpName(static_cast<FsOp>(opcode)));
@@ -373,7 +517,7 @@ sim::Payload FileServiceServer::HandleCreate(
   // The creator gets a version token and a callback promise up front, so
   // the open that follows a create is already zero-exchange.
   out.U64(service_->Version(*file));
-  out.I64(Grant(*file, req->cb));
+  out.I64(Grant(*file, CallbackEndpoint(req->cb)));
   sim::Payload reply = std::move(out).Take();
   RememberToken(req->token, reply);
   return reply;
@@ -387,7 +531,7 @@ sim::Payload FileServiceServer::HandleDelete(
     ++stats_.duplicate_replays;
     return *replay;
   }
-  current_requester_ = req->cb;
+  current_requester_ = CallbackEndpoint(req->cb);
   Serializer out;
   EncodeStatus(out, service_->Delete(req->file));
   sim::Payload reply = std::move(out).Take();
@@ -419,7 +563,7 @@ sim::Payload FileServiceServer::HandleOpenClose(
   EncodeStatus(out, OkStatus());
   out.U64(service_->Version(req->file));
   EncodeAttributes(out, *attrs);
-  out.I64(Grant(req->file, req->cb));
+  out.I64(Grant(req->file, CallbackEndpoint(req->cb)));
   return std::move(out).Take();
 }
 
@@ -428,30 +572,32 @@ sim::Payload FileServiceServer::HandlePread(
   auto req = PreadRequest::Decode(body);
   if (!req.ok()) return ErrorReply(req.error());
   const bool hot = NoteReadLoad(req->file);
+  const sim::EndpointId cb = CallbackEndpoint(req->cb);
   const std::uint64_t first_block = req->offset / kBlockSize;
   const std::uint64_t end_block =
       (req->offset + req->length + kBlockSize - 1) / kBlockSize;
-  if (ct_config_.enabled && hot && !req->no_redirect && !req->cb.empty()) {
+  if (ct_config_.enabled && hot && !req->no_redirect &&
+      cb != sim::kNoEndpoint) {
     // Cache-tier read routing: the file is hot, so point the reader at
     // callback-holding peers instead of the spindles. The reply carries the
     // expected version token (the peer serves ONLY at exactly this token)
     // and a callback grant: the reader will cache the peer-served blocks,
     // so the server must know to break it on the next write.
-    std::vector<std::string> peers =
-        PickPeers(req->file, req->cb, first_block, end_block);
+    const std::vector<sim::EndpointId> peers =
+        PickPeers(req->file, cb, first_block, end_block);
     if (!peers.empty()) {
       ++stats_.redirects_issued;
-      const SimTime expiry = Grant(req->file, req->cb);
+      const SimTime expiry = Grant(req->file, cb);
       // Register the range optimistically: if the peer fetch fails, the
       // fallback's no_redirect pread records the same range anyway, and a
       // wasted future redirect just falls back too.
-      NoteHeldBlocks(req->file, req->cb, first_block, end_block);
+      NoteHeldBlocks(req->file, cb, first_block, end_block);
       Serializer out;
       EncodeStatus(out, OkStatus());
       out.U64(service_->Version(req->file));
       out.U8(kPreadReplyRedirect);
       out.U32(static_cast<std::uint32_t>(peers.size()));
-      for (const std::string& p : peers) out.String(p);
+      for (const sim::EndpointId p : peers) out.String(bus_->AddressOf(p));
       out.I64(expiry);
       return std::move(out).Take();
     }
@@ -463,18 +609,19 @@ sim::Payload FileServiceServer::HandlePread(
     EncodeError(out, n.error());
     return std::move(out).Take();
   }
+  out.Reserve(*n + 64);  // status, version, kind, length, expiry
   EncodeStatus(out, OkStatus());
   out.U64(service_->Version(req->file));
   out.U8(kPreadReplyData);
   out.Bytes({buf.data(), static_cast<std::size_t>(*n)});
-  const SimTime expiry = Grant(req->file, req->cb);
+  const SimTime expiry = Grant(req->file, cb);
   // The reader is about to cache the blocks this reply covers: remember the
   // range so the read router can consider it as a serving peer. Zero bytes
   // served (read at EOF) registers nothing.
   const std::uint64_t served_end_block =
       first_block + (req->offset % kBlockSize + *n + kBlockSize - 1) /
                         kBlockSize;
-  NoteHeldBlocks(req->file, req->cb, first_block, served_end_block);
+  NoteHeldBlocks(req->file, cb, first_block, served_end_block);
   out.I64(expiry);
   return std::move(out).Take();
 }
@@ -483,7 +630,7 @@ sim::Payload FileServiceServer::HandlePwrite(
     std::span<const std::uint8_t> body) {
   auto req = PwriteRequest::Decode(body);
   if (!req.ok()) return ErrorReply(req.error());
-  current_requester_ = req->cb;
+  current_requester_ = CallbackEndpoint(req->cb);
   auto n = service_->Write(req->file, req->offset, req->data);
   Serializer out;
   if (!n.ok()) {
@@ -500,7 +647,7 @@ sim::Payload FileServiceServer::HandlePwriteVec(
     std::span<const std::uint8_t> body) {
   auto req = PwriteVecRequest::Decode(body);
   if (!req.ok()) return ErrorReply(req.error());
-  current_requester_ = req->cb;
+  current_requester_ = CallbackEndpoint(req->cb);
   // Extents apply in order through the service's vectored write path. A
   // mid-batch failure leaves a prefix applied — harmless, because every
   // extent is positional: the agent keeps the whole batch dirty and the
@@ -539,7 +686,7 @@ sim::Payload FileServiceServer::HandleGetAttr(
   EncodeStatus(out, OkStatus());
   out.U64(service_->Version(req->file));
   EncodeAttributes(out, *attrs);
-  out.I64(Grant(req->file, req->cb));
+  out.I64(Grant(req->file, CallbackEndpoint(req->cb)));
   return std::move(out).Take();
 }
 
@@ -551,7 +698,7 @@ sim::Payload FileServiceServer::HandleResize(
     ++stats_.duplicate_replays;
     return *replay;
   }
-  current_requester_ = req->cb;
+  current_requester_ = CallbackEndpoint(req->cb);
   Serializer out;
   EncodeStatus(out, service_->Resize(req->file, req->size));
   sim::Payload reply = std::move(out).Take();
@@ -568,7 +715,7 @@ sim::Payload FileServiceServer::HandleCapture(
     ++stats_.duplicate_replays;
     return *replay;
   }
-  current_requester_ = req->cb;
+  current_requester_ = CallbackEndpoint(req->cb);
   auto image = op == FsOp::kSnapshot ? service_->Snapshot(req->file)
                                      : service_->Clone(req->file);
   Serializer out;
@@ -581,7 +728,7 @@ sim::Payload FileServiceServer::HandleCapture(
   // Version + grant for the NEW image, so the caller's first open of it is
   // zero-exchange (same shape as the create reply).
   out.U64(service_->Version(*image));
-  out.I64(Grant(*image, req->cb));
+  out.I64(Grant(*image, CallbackEndpoint(req->cb)));
   sim::Payload reply = std::move(out).Take();
   RememberToken(req->token, reply);
   return reply;
@@ -606,7 +753,7 @@ sim::Payload FileServiceServer::HandleRenew(
   Serializer out;
   EncodeStatus(out, OkStatus());
   out.U64(service_->Version(req->file));
-  out.I64(Grant(req->file, req->cb));
+  out.I64(Grant(req->file, CallbackEndpoint(req->cb)));
   return std::move(out).Take();
 }
 

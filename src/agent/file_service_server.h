@@ -6,6 +6,18 @@
 // at-least-once retransmission replays the original reply instead of
 // re-executing. Positional reads and writes need no such memory — they are
 // idempotent by construction.
+//
+// Beyond that table it keeps the callback holder table (who holds a promise
+// on which file, and which blocks each holder caches), indexed so that every
+// per-request operation — grant, note held blocks, pick peers — costs the
+// same whatever the number of holders; only break fan-out, which sends one
+// message per holder, is linear in them.
+//
+// Threading: the adapter has no lock. It runs on the simulation's single
+// thread. Transaction commits on committer threads reach OnMutation through
+// FileService's mutation hook; they are safe only because they leave through
+// its early-out while the holder table is empty and no crash grace is open,
+// which holds wherever transactions run without agents holding promises.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +56,8 @@ struct CallbackConfig {
   // Lease duration: the staleness bound when a break cannot be delivered.
   SimTime lease_ns = 2 * kSimSecond;
   // Expiry sweep cadence (table hygiene; correctness never depends on it —
-  // expired holders are also pruned lazily at grant and break time).
+  // expired holders are also pruned lazily when a grant, pick or break
+  // meets them).
   SimTime sweep_interval_ns = 500 * kSimMillisecond;
 };
 
@@ -94,19 +107,41 @@ class FileServiceServer {
   // (no epoch edge) must go through OnServiceCrash's grace instead.
   void DropCallbacksFenced() { callbacks_.clear(); }
 
+  // Test oracles for the indexed holder table: the callback addresses
+  // eligible to serve `block` of `file` (unexpired, believed to cache it),
+  // sorted, as the per-block candidate arrays see them and as a scan of
+  // every slot sees them; and the holder count by a scan of every slot.
+  std::vector<std::string> PeerCandidatesIndexed(FileId file,
+                                                 std::uint64_t block) const;
+  std::vector<std::string> PeerCandidatesScanned(FileId file,
+                                                 std::uint64_t block) const;
+  std::size_t CallbackHolderCountScanned() const;
+
  private:
-  // One outstanding callback promise: the holder's bus address, the sim
+  // One outstanding callback promise: the holder's bus endpoint, the sim
   // time its lease expires, and — for the cache-tier read router — which
   // block ranges the holder is believed to cache plus how many redirects
   // have been pointed at it (the power-of-two-choices load signal). The
   // range registry is advisory: a holder that evicted a block simply
   // refuses the peer-read and the reader falls back to the origin.
   struct Holder {
-    std::string address;
+    sim::EndpointId endpoint = sim::kNoEndpoint;  // kNoEndpoint: vacated
     SimTime expiry = 0;
-    // Coalesced [first_block, end_block) ranges believed cached.
+    // Coalesced [first_block, end_block) ranges believed cached. They only
+    // grow while the holder occupies its slot.
     std::map<std::uint64_t, std::uint64_t> blocks;
     std::uint64_t serves_assigned = 0;
+  };
+  // One file's promises. Slots are appended in grant order and vacated in
+  // place (never reused), so a slot names one holder until MaybeCompact()
+  // renumbers them; break fan-out walks the slots, i.e. grant order.
+  struct HolderTable {
+    std::vector<Holder> slots;
+    // Occupied slots by holder endpoint: one per holder.
+    std::unordered_map<sim::EndpointId, std::uint32_t> index;
+    // Per block, the slots that registered it. An entry goes stale when its
+    // slot is vacated; PickPeers swap-removes stale entries it samples.
+    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_block;
   };
 
   sim::Payload Handle(std::uint32_t opcode,
@@ -130,10 +165,13 @@ class FileServiceServer {
 
   // --- Callback table -------------------------------------------------------
 
+  // The endpoint of a request's callback address; kNoEndpoint when it is
+  // empty or callbacks are off (no promise is ever granted then).
+  sim::EndpointId CallbackEndpoint(const std::string& cb);
   // Issue (or renew) a callback promise for `cb` on `file`. Returns the
   // lease expiry, or 0 when no promise was granted (callbacks disabled,
   // empty address). Piggybacked on open/pread/getattr/create/renew replies.
-  SimTime Grant(FileId file, const std::string& cb);
+  SimTime Grant(FileId file, sim::EndpointId cb);
   // FileService mutation hook: revoke every other holder's promise before
   // the mutation's reply (break-before-reply). `writer` is the mutating
   // agent's own callback address — it learns the new version from the reply.
@@ -143,6 +181,18 @@ class FileServiceServer {
   void OnServiceCrash();
   // Periodic hygiene: drop expired holders.
   void SweepExpired();
+  // Empties `slot`: its holder leaves the index, and candidate entries
+  // naming the slot go stale.
+  static void Vacate(HolderTable& table, std::uint32_t slot);
+  // Vacate() for a lapsed lease, counted in callback_expired.
+  void Expire(HolderTable& table, std::uint32_t slot);
+  // Renumbers the slots once vacated ones outnumber occupied ones, and
+  // rebuilds the index and candidate arrays from the survivors.
+  static void MaybeCompact(HolderTable& table);
+  // Registers the blocks of [first_block, end_block) not yet registered by
+  // the holder in `slot`, in its ranges and in the candidate arrays.
+  static void AddBlocks(HolderTable& table, std::uint32_t slot,
+                        std::uint64_t first_block, std::uint64_t end_block);
 
   // --- Cache-tier read router ----------------------------------------------
 
@@ -152,13 +202,14 @@ class FileServiceServer {
   bool NoteReadLoad(FileId file);
   // Registers [first_block, end_block) as cached by holder `cb` (no-op when
   // the holder is unknown — callbacks off, empty address).
-  void NoteHeldBlocks(FileId file, const std::string& cb,
+  void NoteHeldBlocks(FileId file, sim::EndpointId cb,
                       std::uint64_t first_block, std::uint64_t end_block);
   // Picks up to redirect_peers distinct unexpired holders covering the
   // range (excluding the requester), least-loaded-of-two-random first.
-  std::vector<std::string> PickPeers(FileId file, const std::string& requester,
-                                     std::uint64_t first_block,
-                                     std::uint64_t end_block);
+  std::vector<sim::EndpointId> PickPeers(FileId file,
+                                         sim::EndpointId requester,
+                                         std::uint64_t first_block,
+                                         std::uint64_t end_block);
   std::uint64_t NextRand();
 
   file::FileService* service_;
@@ -169,7 +220,7 @@ class FileServiceServer {
   std::deque<std::uint64_t> token_order_;
   CallbackConfig cb_config_;
   CacheTierConfig ct_config_;
-  std::unordered_map<std::uint64_t, std::vector<Holder>> callbacks_;
+  std::unordered_map<std::uint64_t, HolderTable> callbacks_;
   // Per-file pread load, two sliding windows deep (current + previous).
   struct ReadLoad {
     SimTime window_start = 0;
@@ -178,9 +229,10 @@ class FileServiceServer {
   };
   std::unordered_map<std::uint64_t, ReadLoad> read_load_;
   std::uint64_t rng_state_ = 1;
-  // The callback address of the request currently being handled (empty when
-  // none): excluded from break fan-out so a writer never breaks itself.
-  std::string current_requester_;
+  // The callback endpoint of the request currently being handled
+  // (kNoEndpoint when none): excluded from break fan-out so a writer never
+  // breaks itself.
+  sim::EndpointId current_requester_ = sim::kNoEndpoint;
   // Mutations must not proceed before this time: a crashed server cannot
   // break the promises it lost with its table, so it honours them by
   // waiting out the longest outstanding lease (NFSv4-style grace).

@@ -35,6 +35,10 @@ class Serializer {
     Raw(s.data(), s.size());
   }
 
+  // Pre-sizes the buffer for a payload of about `n` bytes, so a large
+  // Bytes() field is copied once instead of again at each regrowth.
+  void Reserve(std::size_t n) { buffer_.reserve(n); }
+
   const std::vector<std::uint8_t>& buffer() const { return buffer_; }
   std::vector<std::uint8_t> Take() && { return std::move(buffer_); }
   std::size_t size() const { return buffer_.size(); }
@@ -73,6 +77,16 @@ class Deserializer {
     if (!Check(n)) return out;
     out.assign(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    pos_ += n;
+    return out;
+  }
+
+  // Bytes() without the copy: a view into the decoded buffer, valid while
+  // that buffer lives. Empty (and ok() false) on truncation.
+  std::span<const std::uint8_t> BytesView() {
+    const std::uint32_t n = U32();
+    if (!Check(n)) return {};
+    const auto out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
   }

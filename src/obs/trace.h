@@ -133,6 +133,8 @@ class SpanScope {
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
+  // False when tracing is off: callers skip building a detail string.
+  bool active() const { return span_ != kNoSpan; }
   void SetDetail(std::string detail) { detail_ = std::move(detail); }
 
  private:

@@ -19,12 +19,32 @@ void MessageBus::ChargeTimeout() {
   if (clock_ != nullptr) clock_->Advance(config_.timeout_interval);
 }
 
+EndpointId MessageBus::Resolve(const std::string& address) {
+  const auto [it, inserted] =
+      ids_.try_emplace(address, static_cast<EndpointId>(endpoints_.size()));
+  if (inserted) endpoints_.push_back(Endpoint{address, nullptr});
+  return it->second;
+}
+
+EndpointId MessageBus::RegisterService(std::string address,
+                                       ServiceHandler handler) {
+  const EndpointId id = Resolve(address);
+  endpoints_[id].handler = std::move(handler);
+  return id;
+}
+
+void MessageBus::UnregisterService(const std::string& address) {
+  if (const EndpointId id = Find(address); id != kNoEndpoint) {
+    endpoints_[id].handler = nullptr;
+  }
+}
+
 std::uint64_t MessageBus::CallsSeen(const std::string& target) const {
   // Calls to a known service are counted per address; other targets (disks)
   // see total client traffic.
-  if (services_.count(target) != 0) {
-    auto it = calls_to_.find(target);
-    return it == calls_to_.end() ? 0 : it->second;
+  const EndpointId id = Find(target);
+  if (id != kNoEndpoint && endpoints_[id].handler != nullptr) {
+    return endpoints_[id].calls;
   }
   return stats_.calls;
 }
@@ -38,10 +58,10 @@ bool MessageBus::EventReady(const FaultEvent& e) const {
 void MessageBus::ApplyEvent(const FaultEvent& e) {
   switch (e.action) {
     case FaultAction::kServiceDown:
-      down_.insert(e.target);
+      SetServiceDown(e.target);
       break;
     case FaultAction::kServiceUp:
-      down_.erase(e.target);
+      SetServiceUp(e.target);
       break;
     case FaultAction::kPartition:
       partitions_.emplace(e.caller, e.target);
@@ -79,31 +99,31 @@ void MessageBus::PumpFaults() {
 
 void MessageBus::ClearFaults() {
   plan_.events.clear();
-  down_.clear();
+  for (Endpoint& ep : endpoints_) ep.down = false;
   partitions_.clear();
 }
 
-Result<Payload> MessageBus::Call(const std::string& address,
-                                 std::uint32_t opcode,
+Result<Payload> MessageBus::Call(EndpointId target, std::uint32_t opcode,
                                  std::span<const std::uint8_t> request,
                                  const std::string& caller) {
   ++stats_.calls;
-  ++calls_to_[address];
+  Endpoint& ep = endpoints_[target];
+  ++ep.calls;
+  const std::string& address = ep.address;
   obs::SpanScope span(obs::TracerOf(obs_), "bus", "exchange");
   PumpFaults();
-  auto it = services_.find(address);
-  if (it == services_.end()) {
-    span.SetDetail(address + " no-service");
+  if (ep.handler == nullptr) {
+    if (span.active()) span.SetDetail(address + " no-service");
     return Error{ErrorCode::kNotConnected, "no service at '" + address + "'"};
   }
 
   // A down or partitioned service looks exactly like a lost request: the
   // caller burns a timeout learning that no reply is coming.
-  if (down_.count(address) != 0) {
+  if (ep.down) {
     ++stats_.rejected_down;
     Charge(request.size());
     ChargeTimeout();
-    span.SetDetail(address + " down");
+    if (span.active()) span.SetDetail(address + " down");
     return Error{ErrorCode::kMessageDropped,
                  "timeout: no reply from " + address + " (service down)"};
   }
@@ -111,7 +131,7 @@ Result<Payload> MessageBus::Call(const std::string& address,
     ++stats_.rejected_partitioned;
     Charge(request.size());
     ChargeTimeout();
-    span.SetDetail(address + " partitioned");
+    if (span.active()) span.SetDetail(address + " partitioned");
     return Error{ErrorCode::kMessageDropped,
                  "timeout: " + caller + " partitioned from " + address};
   }
@@ -121,12 +141,12 @@ Result<Payload> MessageBus::Call(const std::string& address,
   if (config_.drop_rate > 0.0 && rng_.Chance(config_.drop_rate)) {
     ++stats_.drops_request;
     ChargeTimeout();
-    span.SetDetail(address + " request-lost");
+    if (span.active()) span.SetDetail(address + " request-lost");
     return Error{ErrorCode::kMessageDropped, "request lost to " + address};
   }
 
   ++stats_.deliveries;
-  Payload reply = it->second(opcode, request);
+  Payload reply = ep.handler(opcode, request);
 
   // A retransmitted duplicate arrives after the original was served; the
   // server must tolerate processing it again (idempotent operations, §3).
@@ -134,7 +154,7 @@ Result<Payload> MessageBus::Call(const std::string& address,
     ++stats_.duplicates;
     ++stats_.deliveries;
     Charge(request.size());
-    reply = it->second(opcode, request);
+    reply = ep.handler(opcode, request);
   }
 
   // Reply direction. Losing the reply after the handler ran is the case that
@@ -143,11 +163,11 @@ Result<Payload> MessageBus::Call(const std::string& address,
   if (config_.drop_rate > 0.0 && rng_.Chance(config_.drop_rate)) {
     ++stats_.drops_reply;
     ChargeTimeout();
-    span.SetDetail(address + " reply-lost");
+    if (span.active()) span.SetDetail(address + " reply-lost");
     return Error{ErrorCode::kMessageDropped, "reply lost from " + address};
   }
 
-  span.SetDetail(address + " ok");
+  if (span.active()) span.SetDetail(address + " ok");
   return reply;
 }
 
@@ -155,11 +175,11 @@ Status MessageBus::Probe(const std::string& address,
                          const std::string& caller) {
   ++stats_.probes;
   PumpFaults();
-  if (services_.count(address) == 0) {
+  if (!HasService(address)) {
     return Error{ErrorCode::kNotConnected, "no service at '" + address + "'"};
   }
   Charge(0);  // tiny ping frame
-  if (down_.count(address) != 0 || IsPartitioned(caller, address)) {
+  if (IsServiceDown(address) || IsPartitioned(caller, address)) {
     ChargeTimeout();
     return Error{ErrorCode::kMessageDropped,
                  "probe of " + address + " timed out"};
@@ -174,6 +194,7 @@ RpcClient::RpcClient(MessageBus* bus, std::string address,
                      RpcRetryConfig config, std::string caller)
     : bus_(bus),
       address_(std::move(address)),
+      endpoint_(bus->Resolve(address_)),
       caller_(std::move(caller)),
       config_(config),
       // Jitter is deterministic per endpoint: seeded from the address so
@@ -214,7 +235,7 @@ Result<Payload> RpcClient::Call(std::uint32_t opcode,
       obs::Count(o, "rpc.circuit_trips");
     }
     obs::Observe(o, "rpc.call_latency_ns", Elapsed(start));
-    span.SetDetail(address_ + " failed");
+    if (span.active()) span.SetDetail(address_ + " failed");
     return e;
   };
 
@@ -237,14 +258,16 @@ Result<Payload> RpcClient::Call(std::uint32_t opcode,
       ++retries_;
       obs::Observe(o, "rpc.backoff_ns", delay);
     }
-    auto result = bus_->Call(address_, opcode, request, caller_);
+    auto result = bus_->Call(endpoint_, opcode, request, caller_);
     if (result.ok()) {
       ++health_.successes;
       health_.consecutive_failures = 0;
       obs::Observe(o, "rpc.call_latency_ns", Elapsed(start));
-      span.SetDetail(address_ + (attempt > 0 ? " ok after " +
-                                     std::to_string(attempt) + " retries"
-                                             : " ok"));
+      if (span.active()) {
+        span.SetDetail(address_ + (attempt > 0 ? " ok after " +
+                                       std::to_string(attempt) + " retries"
+                                               : " ok"));
+      }
       return result;
     }
     if (result.error().code != ErrorCode::kMessageDropped) {

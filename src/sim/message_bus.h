@@ -28,12 +28,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -44,6 +44,13 @@
 namespace rhodos::sim {
 
 using Payload = std::vector<std::uint8_t>;
+
+// Dense handle for a bus address. An address is interned once, when it is
+// registered or first named, and keeps its id for the bus's lifetime, so hot
+// callers (RpcClient, callback break fan-out) resolve it once and then call
+// by id instead of hashing the string on every exchange.
+using EndpointId = std::uint32_t;
+inline constexpr EndpointId kNoEndpoint = ~EndpointId{0};
 
 // A service handler: takes an opcode and a request body, returns a reply.
 using ServiceHandler =
@@ -173,14 +180,23 @@ class MessageBus {
   MessageBus(const MessageBus&) = delete;
   MessageBus& operator=(const MessageBus&) = delete;
 
-  void RegisterService(std::string address, ServiceHandler handler) {
-    services_[std::move(address)] = std::move(handler);
-  }
-  void UnregisterService(const std::string& address) {
-    services_.erase(address);
-  }
+  // Registers (or replaces) the handler at `address`; returns its id.
+  EndpointId RegisterService(std::string address, ServiceHandler handler);
+  void UnregisterService(const std::string& address);
   bool HasService(const std::string& address) const {
-    return services_.count(address) != 0;
+    const EndpointId id = Find(address);
+    return id != kNoEndpoint && endpoints_[id].handler != nullptr;
+  }
+
+  // Interns `address` (registered or not) and returns its id.
+  EndpointId Resolve(const std::string& address);
+  // The id of an already-interned address, or kNoEndpoint.
+  EndpointId Find(const std::string& address) const {
+    const auto it = ids_.find(address);
+    return it == ids_.end() ? kNoEndpoint : it->second;
+  }
+  const std::string& AddressOf(EndpointId id) const {
+    return endpoints_[id].address;
   }
 
   void SetConfig(NetworkConfig config) { config_ = config; }
@@ -197,9 +213,16 @@ class MessageBus {
   // is lost or the service is down/partitioned; the caller (an agent) is
   // expected to retry, relying on the idempotence of the operation.
   // `caller` identifies the calling machine for partition faults.
-  Result<Payload> Call(const std::string& address, std::uint32_t opcode,
+  Result<Payload> Call(EndpointId target, std::uint32_t opcode,
                        std::span<const std::uint8_t> request,
                        const std::string& caller = "");
+  // Resolve-once convenience for callers that hold only the address (tests,
+  // peer addresses decoded from a redirect reply).
+  Result<Payload> Call(const std::string& address, std::uint32_t opcode,
+                       std::span<const std::uint8_t> request,
+                       const std::string& caller = "") {
+    return Call(Resolve(address), opcode, request, caller);
+  }
 
   // Delivery-layer liveness probe: charges one small round trip and reports
   // whether the service would currently answer `caller`, without invoking
@@ -208,10 +231,17 @@ class MessageBus {
 
   // --- Service fault state ---------------------------------------------------
 
-  void SetServiceDown(const std::string& address) { down_.insert(address); }
-  void SetServiceUp(const std::string& address) { down_.erase(address); }
+  void SetServiceDown(const std::string& address) {
+    endpoints_[Resolve(address)].down = true;
+  }
+  void SetServiceUp(const std::string& address) {
+    if (const EndpointId id = Find(address); id != kNoEndpoint) {
+      endpoints_[id].down = false;
+    }
+  }
   bool IsServiceDown(const std::string& address) const {
-    return down_.count(address) != 0;
+    const EndpointId id = Find(address);
+    return id != kNoEndpoint && endpoints_[id].down;
   }
   void PartitionPair(std::string caller, std::string service) {
     partitions_.emplace(std::move(caller), std::move(service));
@@ -221,6 +251,7 @@ class MessageBus {
   }
   bool IsPartitioned(const std::string& caller,
                      const std::string& service) const {
+    if (partitions_.empty()) return false;  // the common case: no pairs
     return partitions_.count({caller, service}) != 0 ||
            partitions_.count({"", service}) != 0;
   }
@@ -258,14 +289,22 @@ class MessageBus {
   Rng rng_;
   NetStats stats_;
   obs::Observability* obs_ = nullptr;
-  std::unordered_map<std::string, ServiceHandler> services_;
+
+  // Everything the bus knows about one address. A deque keeps references
+  // stable while a running handler registers or interns further addresses.
+  struct Endpoint {
+    std::string address;
+    ServiceHandler handler;   // empty: nothing registered here
+    bool down = false;        // service-down fault state
+    std::uint64_t calls = 0;  // FaultPlan after_calls conditions
+  };
+  std::deque<Endpoint> endpoints_;                  // indexed by EndpointId
+  std::unordered_map<std::string, EndpointId> ids_;  // address -> id
 
   // Fault state.
-  std::unordered_set<std::string> down_;
   std::set<std::pair<std::string, std::string>> partitions_;  // caller,service
   FaultPlan plan_;  // pending (unfired) events, sorted by `at`
   std::function<void(const FaultEvent&)> fault_handler_;
-  std::unordered_map<std::string, std::uint64_t> calls_to_;
 };
 
 // --- At-least-once RPC with production retry semantics -------------------------
@@ -337,6 +376,7 @@ class RpcClient {
 
   MessageBus* bus_;
   std::string address_;
+  EndpointId endpoint_;  // address_, resolved once
   std::string caller_;
   RpcRetryConfig config_;
   Rng jitter_rng_;

@@ -7,7 +7,9 @@
 // expiries, and peer crashes, a peer-served read is NEVER stale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -378,6 +380,154 @@ TEST(CacheTierTest, PeerServeDuringFlushDrainMakesProgress) {
   f.bus().UnregisterService("tier-wrapper");
 }
 
+// --- indexed holder table vs a scan -------------------------------------------
+
+// The holder table answers grant, note and pick through an endpoint index
+// and per-block candidate arrays. After every step of a seeded mix of
+// grants, block notes, peer picks, breaks, lease expiries, crash grace and
+// epoch-fence drops, both must agree with a scan of every slot, and every
+// pick must be distinct, unexpired, not the requester, and cover the range
+// (the same indexed-vs-scanned pairing as the agent's dirty-block index).
+TEST(CacheTierTest, IndexedHolderTableAgreesWithScan) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    FacilityConfig cfg = TierFacility();
+    cfg.cache_tier.hot_read_threshold = 1;  // every pread may redirect
+    cfg.cache_tier.redirect_peers = 3;
+    // Leases short enough to lapse between breaks, but longer than the
+    // 500 ms sweep, so picks and grants meet lapsed holders unswept.
+    cfg.callback.lease_ns = 700 * kSimMillisecond;
+    // Free exchanges: a pick runs at the instant the test computed the
+    // eligible holders, so "some holder qualifies" must mean "redirect".
+    cfg.network.latency_per_message = 0;
+    cfg.network.latency_per_kib = 0;
+    DistributedFileFacility f(cfg);
+    Machine& w = f.AddMachine();
+    constexpr std::uint64_t kBlocks = 8;
+    auto wd = *w.file_agent->Create(naming::ByName("indexed"),
+                                    file::ServiceType::kBasic);
+    ASSERT_TRUE(w.file_agent->Pwrite(wd, 0, Pattern(kBlocks * kBlockSize)).ok());
+    ASSERT_TRUE(w.file_agent->Flush(wd).ok());
+    const FileId id = *w.file_agent->FileOf(wd);
+    FileServiceServer& server = f.file_server();
+
+    // Model holders: bus endpoints that acknowledge every break.
+    constexpr int kHolders = 24;
+    std::vector<std::string> cbs;
+    for (int i = 0; i < kHolders; ++i) {
+      cbs.push_back("cb-model-" + std::to_string(i));
+      f.bus().RegisterService(
+          cbs.back(), [](std::uint32_t, std::span<const std::uint8_t>) {
+            Serializer out;
+            EncodeStatus(out, OkStatus());
+            return std::move(out).Take();
+          });
+    }
+    auto call = [&](FsOp op, const std::vector<std::uint8_t>& body) {
+      auto r = f.bus().Call(server.address(), static_cast<std::uint32_t>(op),
+                            body);
+      EXPECT_TRUE(r.ok());
+      return r.ok() ? *r : sim::Payload{};
+    };
+    // The holders a pick of [first, end) may name, by scan.
+    auto eligible = [&](std::uint64_t first, std::uint64_t end,
+                        const std::string& requester) {
+      std::vector<std::string> out = server.PeerCandidatesScanned(id, first);
+      for (std::uint64_t b = first + 1; b < end; ++b) {
+        const auto more = server.PeerCandidatesScanned(id, b);
+        std::vector<std::string> both;
+        std::set_intersection(out.begin(), out.end(), more.begin(), more.end(),
+                              std::back_inserter(both));
+        out = std::move(both);
+      }
+      std::erase(out, requester);
+      return out;
+    };
+    auto range = [&](std::mt19937_64& rng) {
+      const std::uint64_t first = rng() % kBlocks;
+      const std::uint64_t len = rng() % 4 == 0 ? 2 + rng() % 2 : 1;
+      return std::pair{first, std::min(first + len, kBlocks)};
+    };
+
+    std::mt19937_64 rng(seed);
+    std::uint64_t redirects = 0, empty_picks = 0, breaks = 0;
+    for (int step = 0; step < 1500; ++step) {
+      const std::string& cb = cbs[rng() % kHolders];
+      const std::uint64_t kind = rng() % 100;
+      if (kind < 15) {  // grant: renew (or re-issue) a promise
+        call(FsOp::kCallbackRenew, FileRequest{0, id, cb}.Encode());
+      } else if (kind < 45) {  // note: an origin read registers its blocks
+        const auto [first, end] = range(rng);
+        call(FsOp::kPread, PreadRequest{id, first * kBlockSize,
+                                        (end - first) * kBlockSize, cb,
+                                        /*no_redirect=*/true}
+                               .Encode());
+      } else if (kind < 85) {  // pick: a redirectable read
+        const auto [first, end] = range(rng);
+        const std::vector<std::string> want = eligible(first, end, cb);
+        const auto reply = call(
+            FsOp::kPread, PreadRequest{id, first * kBlockSize,
+                                       (end - first) * kBlockSize, cb, false}
+                              .Encode());
+        Deserializer in{reply};
+        ASSERT_TRUE(DecodeStatus(in).ok());
+        in.U64();  // version token
+        const std::uint8_t reply_kind = in.U8();
+        if (want.empty()) {
+          EXPECT_EQ(reply_kind, kPreadReplyData) << "step " << step;
+          ++empty_picks;
+        } else {
+          ASSERT_EQ(reply_kind, kPreadReplyRedirect) << "step " << step;
+          const std::uint32_t n = in.U32();
+          EXPECT_EQ(n, std::min<std::size_t>(3, want.size()));
+          std::set<std::string> seen;
+          for (std::uint32_t i = 0; i < n; ++i) {
+            const std::string peer = in.String();
+            EXPECT_TRUE(seen.insert(peer).second) << "duplicate " << peer;
+            EXPECT_NE(peer, cb) << "picked the requester";
+            EXPECT_TRUE(std::binary_search(want.begin(), want.end(), peer))
+                << peer << " is expired or misses [" << first << ", " << end
+                << ") at step " << step;
+          }
+          ASSERT_TRUE(in.ok());
+          ++redirects;
+        }
+      } else if (kind < 90) {  // break: one holder writes, the rest break
+        call(FsOp::kPwrite,
+             PwriteRequest{id, (rng() % kBlocks) * kBlockSize,
+                           Pattern(64, static_cast<std::uint8_t>(step)), cb}
+                 .Encode());
+        EXPECT_LE(server.CallbackHolderCountScanned(), 1u);
+        ++breaks;
+      } else if (kind < 97) {  // expire: some or all leases lapse
+        // Mostly steps shorter than the 500 ms sweep, so lapsed holders
+        // are met by picks and grants before the sweep prunes them.
+        f.clock().Advance(rng() % 4 != 0
+                              ? static_cast<SimTime>(1 + rng() % 8) * 50 *
+                                    kSimMillisecond
+                              : f.config().callback.lease_ns + kSimSecond);
+      } else if (kind < 99) {  // crash: the table is lost, grace opens
+        f.CrashServers();
+        ASSERT_TRUE(f.RecoverServers().ok());
+        EXPECT_EQ(server.CallbackHolderCountScanned(), 0u);
+      } else {  // epoch fence: the table is dropped without grace
+        server.DropCallbacksFenced();
+        EXPECT_EQ(server.CallbackHolderCountScanned(), 0u);
+      }
+      for (std::uint64_t b = 0; b < kBlocks; ++b) {
+        ASSERT_EQ(server.PeerCandidatesIndexed(id, b),
+                  server.PeerCandidatesScanned(id, b))
+            << "seed " << seed << " step " << step << " block " << b;
+      }
+      ASSERT_EQ(server.CallbackHolderCount(),
+                server.CallbackHolderCountScanned())
+          << "seed " << seed << " step " << step;
+    }
+    EXPECT_GT(redirects, 100u) << "seed " << seed;
+    EXPECT_GT(empty_picks, 10u) << "seed " << seed;
+    EXPECT_GT(breaks, 10u) << "seed " << seed;
+  }
+}
+
 // --- the storm oracle --------------------------------------------------------
 
 // The tentpole guarantee, stress-tested: one writer mutating a hot file
@@ -434,6 +584,28 @@ std::string RunTierStorm(std::uint64_t seed) {
                             : f.config().callback.lease_ns + kSimSecond);
     }
   }
+  // Epilogue: a redirect whose every candidate refuses, whatever peers the
+  // random schedule above happened to pick. A write breaks every holder;
+  // readers 0 and 1 re-register block 0, then crash (their registrations
+  // outlive their caches); reader 2's next read can only be pointed at them.
+  oracle = Pattern(kBlockSize, 251);
+  EXPECT_TRUE(w.file_agent->Pwrite(wd, 0, oracle).ok());
+  EXPECT_TRUE(w.file_agent->Flush(wd).ok());
+  for (std::size_t r : {0, 1}) {
+    EXPECT_TRUE(readers[r]->file_agent->Pread(rds[r], 0, out).ok());
+    EXPECT_EQ(out, oracle);
+  }
+  for (std::size_t r : {0, 1}) {
+    readers[r]->file_agent->Crash();
+    rds[r] = *readers[r]->file_agent->Open(naming::ByName("storm"));
+  }
+  const std::uint64_t fallbacks_before =
+      readers[2]->file_agent->stats().peer_fallbacks;
+  EXPECT_TRUE(readers[2]->file_agent->Pread(rds[2], 0, out).ok());
+  EXPECT_EQ(out, oracle) << "STALE READ after refused redirect";
+  EXPECT_EQ(readers[2]->file_agent->stats().peer_fallbacks,
+            fallbacks_before + 1);
+
   for (std::size_t i = 0; i < readers.size(); ++i) {
     EXPECT_TRUE(readers[i]->file_agent->Close(rds[i]).ok());
   }

@@ -33,6 +33,33 @@ TEST(MessageBusTest, UnknownAddressFails) {
   EXPECT_EQ(reply.error().code, ErrorCode::kNotConnected);
 }
 
+TEST(MessageBusTest, EndpointIdsOutliveRegistrationAndCarryFaultState) {
+  // A caller may resolve an address before anything registers there, and
+  // calls by id see the same handler and down flag as calls by address.
+  SimClock clock;
+  MessageBus bus(&clock);
+  const EndpointId early = bus.Resolve("svc");
+  EXPECT_EQ(bus.Call(early, 0, {}).error().code, ErrorCode::kNotConnected);
+  EXPECT_EQ(bus.RegisterService("svc", Echo), early);
+  EXPECT_EQ(bus.Resolve("svc"), early);
+  EXPECT_EQ(bus.Find("svc"), early);
+  EXPECT_EQ(bus.Find("never-named"), kNoEndpoint);
+  EXPECT_EQ(bus.AddressOf(early), "svc");
+  EXPECT_TRUE(bus.Call(early, 4, {}).ok());
+
+  bus.SetServiceDown("svc");
+  EXPECT_EQ(bus.Call(early, 4, {}).error().code, ErrorCode::kMessageDropped);
+  bus.SetServiceUp("svc");
+  EXPECT_TRUE(bus.Call(early, 4, {}).ok());
+
+  bus.UnregisterService("svc");
+  EXPECT_FALSE(bus.HasService("svc"));
+  EXPECT_EQ(bus.Call(early, 4, {}).error().code, ErrorCode::kNotConnected);
+  bus.RegisterService("svc", Echo);
+  EXPECT_TRUE(bus.Call(early, 4, {}).ok());
+  EXPECT_NE(bus.Resolve("other"), early);
+}
+
 TEST(MessageBusTest, DropsLoseRequestsOrReplies) {
   SimClock clock;
   NetworkConfig net;
