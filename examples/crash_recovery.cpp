@@ -75,7 +75,11 @@ int main() {
   std::vector<std::uint8_t> garbage(kFragmentSize, 0xFF);
   (*server)->main_device().RawOverwrite(file::FileFitFragment(*account),
                                         garbage);
-  facility.files().Crash();  // force a reload from disk
+  // Cycle the disk server so its track cache cannot mask the damage, and
+  // the file service so the table is reloaded from disk.
+  (*server)->Crash();
+  (void)(*server)->Recover();
+  facility.files().Crash();
   std::printf("  ...main copy of the file index table overwritten...\n");
   std::printf("  read through stable-storage fallback: \"%s\"\n",
               ReadString(facility, *account, 11).c_str());

@@ -4,7 +4,8 @@
 # Every bench binary writes <binary>.metrics.json (the drained facility
 # metrics). This script runs the I/O- and message-sensitive benches and
 # snapshots the counters that measure disk and network efficiency —
-# references, arm travel, bus exchanges, writeback batches, peer serving —
+# references, arm travel, fragments read, track-cache hits, bus
+# exchanges, writeback batches, peer serving —
 # into bench/baselines/<bench>.json:
 #
 #   scripts/bench_baseline.sh            # (re)record the baselines
@@ -13,9 +14,10 @@
 # The baselines are committed, and `--check` (which scripts/check.sh runs)
 # knows which way each counter is better. A lower-is-better counter (disk
 # references, seeks, exchanges) fails above 1.10x its recorded value; a
-# higher-is-better one (peer serves, redirects: work kept off the origin)
-# fails below 0.90x. So batching/elevator wins and the cache tier's
-# peer-serve path cannot silently rot. Improvements should be re-recorded.
+# higher-is-better one (peer serves, redirects, track-cache hits: work kept
+# off the origin or off the platter) fails below 0.90x. So batching/elevator
+# wins, the track cache and the cache tier's peer-serve path cannot silently
+# rot. Improvements should be re-recorded.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -57,6 +59,8 @@ KEYS = {
     "file.callback_breaks": "lower",
     "agent.callback_renewals": "lower",
     "file.cow_blocks_copied": "lower",
+    "disk.fragments_read": "lower",
+    "disk.cache.hits": "higher",
     "agent.peer_serves": "higher",
     "file.redirects_issued": "higher",
 }

@@ -42,6 +42,11 @@ run_suite() {
   # changes to the capture, copy-on-write, and shared-release paths.
   echo "== $dir: snapshot matrix (ctest -L snap) =="
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" -L snap
+  # The disk-service matrix (device model, track cache against its
+  # byte-owning reference, delayed writes, torn writes) gates changes to
+  # the disk server.
+  echo "== $dir: disk matrix (ctest -L disk) =="
+  ctest --test-dir "$dir" --output-on-failure -j "$jobs" -L disk
   # The cache-tier matrix (redirects, peer serving, busy shedding, fallback
   # bounds, the zero-stale-read storm) gates changes to the read fan-out
   # path.

@@ -29,8 +29,7 @@ DiskServer::DiskServer(DiskId id, DiskServerConfig config, SimClock* clock)
                                                      config.fault_seed + 17)
                   : nullptr),
       bitmap_(config.geometry.total_fragments),
-      cache_(config.geometry.fragments_per_track,
-             config.cache_capacity_tracks),
+      cache_(main_, config.cache_capacity_tracks),
       metadata_fragments_(
           (SerializedBitmapBytes(config.geometry.total_fragments) +
            kFragmentSize - 1) /
@@ -131,18 +130,20 @@ Status DiskServer::ReadMain(FragmentIndex first, std::uint32_t count,
     return OkStatus();  // served without touching the disk
   }
   RHODOS_RETURN_IF_ERROR(main_.ReadFragments(first, count, out));
-  cache_.Install(first, count, out);
+  // Delayed writes still in the cache are newer than the platter's bytes.
+  cache_.OverlayDirty(first, count, out);
+  cache_.MarkResident(first, count);
   if (config_.track_readahead) ReadAheadTrack(first, count);
   return OkStatus();
 }
 
 void DiskServer::ReadAheadTrack(FragmentIndex first, std::uint32_t count) {
   // Sweep the uncached remainder of every track the request touched, as a
-  // continuation of the same head pass (no seek, no new reference).
+  // continuation of the same head pass (no seek, no new reference). The
+  // swept bytes stay on the platter; the cache records them as resident.
   const auto per_track = config_.geometry.fragments_per_track;
   const std::uint64_t first_track = first / per_track;
   const std::uint64_t last_track = (first + count - 1) / per_track;
-  std::vector<std::uint8_t> buf;
   for (std::uint64_t t = first_track; t <= last_track; ++t) {
     const FragmentIndex track_begin = t * per_track;
     const FragmentIndex track_end = std::min<FragmentIndex>(
@@ -162,11 +163,8 @@ void DiskServer::ReadAheadTrack(FragmentIndex first, std::uint32_t count) {
       }
       const auto run_len = static_cast<std::uint32_t>(f - run_start);
       if (run_len == 0) continue;
-      buf.resize(static_cast<std::size_t>(run_len) * kFragmentSize);
-      if (main_.ReadFragments(run_start, run_len, buf,
-                              /*charge_seek=*/false)
-              .ok()) {
-        cache_.Install(run_start, run_len, buf);
+      if (main_.SweepFragments(run_start, run_len).ok()) {
+        cache_.MarkResident(run_start, run_len);
       }
     }
   }
@@ -210,7 +208,13 @@ Status DiskServer::WriteMain(FragmentIndex first, std::uint32_t count,
     cache_.Install(first, count, in, /*dirty=*/true);
     return OkStatus();
   }
-  RHODOS_RETURN_IF_ERROR(main_.WriteFragments(first, count, in));
+  if (Status st = main_.WriteFragments(first, count, in); !st.ok()) {
+    // A failed write may have torn the range: a prefix of it reached the
+    // platter. Those fragments must reach the device (which reports the
+    // crash) rather than be served as hits.
+    cache_.DropClean(first, count);
+    return st;
+  }
   cache_.Install(first, count, in);
   return OkStatus();
 }
@@ -447,25 +451,28 @@ Status DiskServer::FlushBlock(FragmentIndex first, std::uint32_t count) {
   RHODOS_RETURN_IF_ERROR(CheckReachable());
   obs::SpanScope span(obs::TracerOf(obs_), "disk", "flush");
   obs::LatencyScope lat(obs_, "disk.reference_ns");
-  Status result = OkStatus();
-  cache_.FlushDirtyRange(
-      first, count,
-      [&](FragmentIndex f, std::span<const std::uint8_t> data) {
-        if (auto st = main_.WriteFragments(f, 1, data); !st.ok()) {
-          result = st;
-        }
-      });
-  return result;
+  return WriteBackDirty(first, count);
 }
 
 Status DiskServer::FlushAll() {
   RHODOS_RETURN_IF_ERROR(CheckReachable());
-  Status result = OkStatus();
-  cache_.FlushDirty([&](FragmentIndex f, std::span<const std::uint8_t> data) {
-    if (auto st = main_.WriteFragments(f, 1, data); !st.ok()) result = st;
-  });
-  RHODOS_RETURN_IF_ERROR(result);
+  RHODOS_RETURN_IF_ERROR(WriteBackDirty(0, ~std::uint32_t{0}));
   return DrainStableWrites();
+}
+
+Status DiskServer::WriteBackDirty(FragmentIndex first, std::uint32_t count) {
+  Status result = OkStatus();
+  std::vector<FragmentIndex> failed;
+  cache_.FlushDirtyRange(
+      first, count, [&](FragmentIndex f, std::span<const std::uint8_t> data) {
+        if (auto st = main_.WriteFragments(f, 1, data); !st.ok()) {
+          result = st;
+          failed.push_back(f);
+        }
+      });
+  // The flush marked them clean, but the platter may not hold their bytes.
+  for (FragmentIndex f : failed) cache_.DropClean(f, 1);
+  return result;
 }
 
 Status DiskServer::DrainStableWrites() {

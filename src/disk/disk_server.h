@@ -14,7 +14,8 @@
 //    main (default) or stable storage.
 //  * Track caching: on a read miss, the needed fragments are fetched and
 //    the rest of the track is swept into the cache under the same head
-//    pass.
+//    pass. The cache records residency; clean bytes stay on the platter
+//    (see track_cache.h).
 //
 // Free space is managed by the bitmap (ground truth) plus the 64x64 run
 // array (fast index) exactly as §4 describes.
@@ -218,7 +219,10 @@ class DiskServer {
   // Installed by the facility; null means no tracing/metrics.
   void SetObservability(obs::Observability* o) { obs_ = o; }
 
-  // Test access to the underlying devices.
+  // Test access to the underlying devices. A write that bypasses the
+  // server (RawOverwrite, or WriteFragments on main_device()) must not land
+  // on a fragment the track cache holds as resident: the server must be
+  // crashed before its next read (see DiskModel::RawOverwrite).
   sim::DiskModel& main_device() { return main_; }
   sim::DiskModel& stable_device() { return *stable_; }
 
@@ -231,6 +235,9 @@ class DiskServer {
   Status WriteStable(FragmentIndex first, std::uint32_t count,
                      std::span<const std::uint8_t> in, WriteSync sync);
   void ReadAheadTrack(FragmentIndex first, std::uint32_t count);
+  // Writes the delayed-write fragments of [first, first+count) to the
+  // platter (count == ~0u: every one); the first failure is returned.
+  Status WriteBackDirty(FragmentIndex first, std::uint32_t count);
 
   // Seek-distance histogram sample for a reference about to be issued at
   // `first` (converted to simulated seek time — the monotone image of the

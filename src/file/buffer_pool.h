@@ -12,10 +12,12 @@
 // layers above.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -80,7 +82,21 @@ class BufferPool {
   std::size_t available() const { return free_.size(); }
 
   // Returns a zero-filled buffer, or nullopt when the pool is exhausted.
-  std::optional<PooledBuffer> Acquire() {
+  std::optional<PooledBuffer> Acquire() { return Take({}); }
+
+  // As Acquire, but the buffer starts as a copy of `data` (zero-padded when
+  // `data` is shorter): a caller about to overwrite the whole buffer skips
+  // the zero-fill it would discard.
+  std::optional<PooledBuffer> AcquireCopy(std::span<const std::uint8_t> data) {
+    return Take(data);
+  }
+
+  const BufferPoolStats& stats() const { return stats_; }
+
+ private:
+  friend class PooledBuffer;
+
+  std::optional<PooledBuffer> Take(std::span<const std::uint8_t> data) {
     ++stats_.acquires;
     if (free_.empty()) {
       ++stats_.exhaustions;
@@ -88,15 +104,13 @@ class BufferPool {
     }
     std::vector<std::uint8_t> storage = std::move(free_.back());
     free_.pop_back();
-    std::fill(storage.begin(), storage.end(), std::uint8_t{0});
+    const std::size_t n = std::min(data.size(), storage.size());
+    std::copy_n(data.begin(), n, storage.begin());
+    std::fill(storage.begin() + static_cast<std::ptrdiff_t>(n), storage.end(),
+              std::uint8_t{0});
     ++stats_.outstanding;
     return PooledBuffer{this, std::move(storage)};
   }
-
-  const BufferPoolStats& stats() const { return stats_; }
-
- private:
-  friend class PooledBuffer;
 
   void Return(std::vector<std::uint8_t> storage) {
     assert(storage.size() == buffer_bytes_);

@@ -55,6 +55,16 @@ Status DiskModel::ReadFragments(FragmentIndex first, std::uint32_t count,
   if (out.size() < static_cast<std::size_t>(count) * kFragmentSize) {
     return {ErrorCode::kInvalidArgument, "read buffer too small"};
   }
+  return Read(first, count, out.data(), charge_seek);
+}
+
+Status DiskModel::SweepFragments(FragmentIndex first, std::uint32_t count) {
+  RHODOS_RETURN_IF_ERROR(ValidateRange(first, count));
+  return Read(first, count, nullptr, /*charge_seek=*/false);
+}
+
+Status DiskModel::Read(FragmentIndex first, std::uint32_t count,
+                       std::uint8_t* out, bool charge_seek) {
   ChargeReference(first, count, charge_seek);
   if (charge_seek) stats_.read_references += 1;
   stats_.fragments_read += count;
@@ -63,8 +73,10 @@ Status DiskModel::ReadFragments(FragmentIndex first, std::uint32_t count,
     return {ErrorCode::kMediaError,
             "unrecoverable read error at fragment " + std::to_string(first)};
   }
-  std::memcpy(out.data(), platter_.data() + first * kFragmentSize,
-              static_cast<std::size_t>(count) * kFragmentSize);
+  if (out != nullptr) {
+    std::memcpy(out, platter_.data() + first * kFragmentSize,
+                static_cast<std::size_t>(count) * kFragmentSize);
+  }
   return OkStatus();
 }
 
@@ -106,8 +118,10 @@ Status DiskModel::WriteFragments(FragmentIndex first, std::uint32_t count,
   return OkStatus();
 }
 
-std::span<const std::uint8_t> DiskModel::RawFragment(FragmentIndex f) const {
-  return {platter_.data() + f * kFragmentSize, kFragmentSize};
+std::span<const std::uint8_t> DiskModel::RawFragments(
+    FragmentIndex first, std::uint32_t count) const {
+  return {platter_.data() + first * kFragmentSize,
+          static_cast<std::size_t>(count) * kFragmentSize};
 }
 
 void DiskModel::RawOverwrite(FragmentIndex f,

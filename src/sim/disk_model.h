@@ -99,6 +99,13 @@ class DiskModel {
   Status ReadFragments(FragmentIndex first, std::uint32_t count,
                        std::span<std::uint8_t> out, bool charge_seek = true);
 
+  // A continuation read whose bytes go nowhere: exactly the charges, the
+  // counters, the checks and the media-error draw of
+  // ReadFragments(first, count, out, /*charge_seek=*/false), without a
+  // destination buffer. The track cache sweeps the rest of a track with it
+  // and later serves the swept fragments straight from the platter.
+  Status SweepFragments(FragmentIndex first, std::uint32_t count);
+
   // Writes `count` fragments starting at `first` from `in`. One disk
   // reference (or a continuation when charge_seek is false, as for reads).
   // A torn write (crash mid-reference) persists only a prefix.
@@ -113,12 +120,27 @@ class DiskModel {
   void Recover() { crashed_ = false; }
   bool crashed() const { return crashed_; }
 
-  // Direct platter access for tests and recovery assertions; charges no cost.
-  std::span<const std::uint8_t> RawFragment(FragmentIndex f) const;
+  // Direct platter access; charges no cost. The track cache serves its
+  // clean hits through RawFragments; tests and recovery assertions inspect
+  // the platter with RawFragment.
+  std::span<const std::uint8_t> RawFragments(FragmentIndex first,
+                                             std::uint32_t count) const;
+  std::span<const std::uint8_t> RawFragment(FragmentIndex f) const {
+    return RawFragments(f, 1);
+  }
+  // Models corruption below the disk server (a bad sector, a stray write).
+  // The server's track cache records residency only and serves clean hits
+  // from the platter, so the server must be crashed (its cache dropped)
+  // before its next read of `f`; otherwise a resident fragment would
+  // return the overwritten bytes as a cache hit.
   void RawOverwrite(FragmentIndex f, std::span<const std::uint8_t> data);
 
  private:
   Status ValidateRange(FragmentIndex first, std::uint32_t count) const;
+  // Shared body of ReadFragments and SweepFragments; `out` is null for a
+  // sweep.
+  Status Read(FragmentIndex first, std::uint32_t count, std::uint8_t* out,
+              bool charge_seek);
   void ChargeReference(FragmentIndex first, std::uint32_t count,
                        bool charge_seek);
 

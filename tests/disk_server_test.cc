@@ -3,6 +3,7 @@
 // persistence and crash recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/sim_clock.h"
@@ -197,6 +198,47 @@ TEST_F(DiskServerTest, DelayedWriteReachesDiskOnlyAtFlush) {
   EXPECT_GT(server_.main_stats().write_references, 0u);
   // Platter now holds it.
   EXPECT_EQ(server_.main_device().RawFragment(*frag)[0], 0x66);
+}
+
+TEST_F(DiskServerTest, DelayedWriteSurvivesAReadThatMisses) {
+  // Block 0 is a delayed write, block 1 is not cached: reading both misses
+  // and goes to the platter, which still holds block 0's old bytes. The
+  // read must return the delayed write, and the flush must persist it.
+  auto frag = server_.AllocateBlocks(2);
+  ASSERT_TRUE(frag.ok());
+  std::vector<std::uint8_t> payload(kBlockSize, 0x66);
+  ASSERT_TRUE(server_.PutBlock(*frag, 4, payload, StableMode::kNone,
+                               WriteSync::kSynchronous,
+                               WritePolicy::kDelayed).ok());
+  std::vector<std::uint8_t> out(2 * kBlockSize);
+  const std::uint64_t misses_before = server_.cache_stats().misses;
+  ASSERT_TRUE(server_.GetBlock(*frag, 8, out).ok());
+  EXPECT_EQ(server_.cache_stats().misses, misses_before + 8);
+  EXPECT_EQ(out[0], 0x66);
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), out.begin()));
+  ASSERT_TRUE(server_.FlushAll().ok());
+  EXPECT_EQ(server_.main_device().RawFragment(*frag)[0], 0x66);
+  EXPECT_EQ(server_.main_device().RawFragment(*frag + 3)[kFragmentSize - 1],
+            0x66);
+}
+
+TEST_F(DiskServerTest, TornWriteIsNeverServedAsAHit) {
+  auto frag = server_.AllocateBlocks(1);
+  ASSERT_TRUE(frag.ok());
+  std::vector<std::uint8_t> old_bytes(kBlockSize, 0x11);
+  ASSERT_TRUE(server_.PutBlock(*frag, 4, old_bytes).ok());  // resident
+  sim::DiskFaultPlan plan;
+  plan.crash_after_writes = 0;  // the next write tears
+  server_.SetFaultPlan(plan);
+  std::vector<std::uint8_t> new_bytes(kBlockSize, 0x22);
+  EXPECT_EQ(server_.PutBlock(*frag, 4, new_bytes).code(),
+            ErrorCode::kDiskCrashed);
+  // The platter may hold a prefix of the new bytes: the read must reach the
+  // device, which reports the crash, instead of hitting the cache.
+  std::vector<std::uint8_t> out(kBlockSize);
+  const std::uint64_t hits_before = server_.cache_stats().hits;
+  EXPECT_EQ(server_.GetBlock(*frag, 4, out).code(), ErrorCode::kDiskCrashed);
+  EXPECT_EQ(server_.cache_stats().hits, hits_before);
 }
 
 TEST_F(DiskServerTest, CrashLosesDelayedWritesButNotPlatter) {

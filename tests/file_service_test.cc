@@ -3,6 +3,7 @@
 // the block-level interface the transaction service uses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.h"
@@ -174,6 +175,79 @@ TEST_F(FileServiceTest, BasicFilesUseDelayedWrite) {
   const auto writes_before_flush = (*server)->main_stats().fragments_written;
   ASSERT_TRUE(service_->Flush(*file).ok());
   EXPECT_GT((*server)->main_stats().fragments_written, writes_before_flush);
+}
+
+TEST_F(FileServiceTest, GrowthZerosReachTheDiskAtFlush) {
+  // File a leaves its pattern on the platter when deleted; file b reuses
+  // the space, writing only its third block. The zero-filled holes are
+  // delayed writes too, so after a flush and a crash they read as zeros.
+  auto a = service_->Create(ServiceType::kBasic);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(service_->Write(*a, 0, Pattern(3 * kBlockSize, 9)).ok());
+  ASSERT_TRUE(service_->Flush(*a).ok());
+  auto a_block0 = service_->LocateBlock(*a, 0);
+  ASSERT_TRUE(a_block0.ok());
+  ASSERT_TRUE(service_->Delete(*a).ok());
+
+  auto b = service_->Create(ServiceType::kBasic);
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(
+      service_->Write(*b, 2 * kBlockSize, Pattern(kBlockSize, 3)).ok());
+  auto b_block0 = service_->LocateBlock(*b, 0);
+  ASSERT_TRUE(b_block0.ok());
+  EXPECT_EQ(b_block0->first_fragment, a_block0->first_fragment)
+      << "b no longer reuses a's space; the holes would read zeros anyway";
+  ASSERT_TRUE(service_->Flush(*b).ok());
+  service_->Crash();
+  std::vector<std::uint8_t> out(2 * kBlockSize, 0xEE);
+  ASSERT_TRUE(service_->Read(*b, 0, out).ok());
+  EXPECT_EQ(out, std::vector<std::uint8_t>(2 * kBlockSize, 0));
+}
+
+TEST_F(FileServiceTest, ShrinkKeepsDirtyBlocksBelowTheCut) {
+  // Shrinking purges cached blocks past the cut only: the delayed write
+  // of block 0 must still reach the disk at the next flush.
+  auto file = service_->Create(ServiceType::kBasic);
+  ASSERT_TRUE(file.ok());
+  const auto data = Pattern(3 * kBlockSize, 4);
+  ASSERT_TRUE(service_->Write(*file, 0, data).ok());
+  ASSERT_TRUE(service_->Resize(*file, kBlockSize).ok());
+  ASSERT_TRUE(service_->Flush(*file).ok());
+  service_->Crash();
+  std::vector<std::uint8_t> out(kBlockSize);
+  ASSERT_TRUE(service_->Read(*file, 0, out).ok());
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin()));
+}
+
+TEST_F(FileServiceTest, FlushFindsEveryDirtyBlock) {
+  // A small block cache: a delayed write dirties a fresh block of one
+  // file and a clean cached block of another, then reads evict clean
+  // blocks over and over. Each flush must still find its dirty block.
+  FileServiceConfig config;
+  config.block_pool_capacity = 4;
+  service_ = std::make_unique<FileService>(&disks_, &clock_, config);
+  auto cold = service_->Create(ServiceType::kBasic);
+  ASSERT_TRUE(cold.ok());
+  ASSERT_TRUE(service_->Write(*cold, 0, Pattern(8 * kBlockSize, 2)).ok());
+  ASSERT_TRUE(service_->Flush(*cold).ok());
+  auto hot = service_->Create(ServiceType::kBasic);
+  ASSERT_TRUE(hot.ok());
+  const auto hot_data = Pattern(kBlockSize, 6);
+  ASSERT_TRUE(service_->Write(*hot, 0, hot_data).ok());
+  std::vector<std::uint8_t> block(kBlockSize);
+  ASSERT_TRUE(service_->Read(*cold, 7 * kBlockSize, block).ok());  // cached
+  const auto cold_data = Pattern(kBlockSize, 8);
+  ASSERT_TRUE(service_->Write(*cold, 7 * kBlockSize, cold_data).ok());
+  for (std::uint64_t b = 0; b < 6; b += 2) {
+    ASSERT_TRUE(service_->Read(*cold, b * kBlockSize, block).ok());
+  }
+  ASSERT_TRUE(service_->Flush(*hot).ok());
+  ASSERT_TRUE(service_->Flush(*cold).ok());
+  service_->Crash();
+  ASSERT_TRUE(service_->Read(*hot, 0, block).ok());
+  EXPECT_EQ(block, hot_data);
+  ASSERT_TRUE(service_->Read(*cold, 7 * kBlockSize, block).ok());
+  EXPECT_EQ(block, cold_data);
 }
 
 TEST_F(FileServiceTest, TransactionFilesWriteThrough) {

@@ -2,6 +2,8 @@
 // cache.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/rng.h"
 #include "disk/free_space_array.h"
 #include "disk/track_cache.h"
@@ -89,8 +91,25 @@ TEST(FreeSpaceArrayTest, MightSatisfyFalseWhenDry) {
 
 // --- TrackCache -----------------------------------------------------------------
 
+// The drive a TrackCache serves clean hits from: `fragments_per_track` per
+// track, eight tracks, every platter byte `fill` — the clean data the test
+// installs.
+std::unique_ptr<sim::DiskModel> Backing(std::uint32_t fragments_per_track,
+                                        std::uint8_t fill = 0) {
+  sim::DiskGeometry g;
+  g.fragments_per_track = fragments_per_track;
+  g.total_fragments = 8 * fragments_per_track;
+  auto disk = std::make_unique<sim::DiskModel>(g, nullptr);
+  const std::vector<std::uint8_t> bytes(kFragmentSize, fill);
+  for (FragmentIndex f = 0; f < g.total_fragments; ++f) {
+    disk->RawOverwrite(f, bytes);
+  }
+  return disk;
+}
+
 TEST(TrackCacheTest, MissThenHit) {
-  TrackCache cache(16, 4);
+  auto disk = Backing(16, 0x42);
+  TrackCache cache(*disk, 4);
   std::vector<std::uint8_t> data(kFragmentSize * 2, 0x42);
   std::vector<std::uint8_t> out(kFragmentSize * 2);
   EXPECT_FALSE(cache.Lookup(0, 2, out));
@@ -102,7 +121,8 @@ TEST(TrackCacheTest, MissThenHit) {
 }
 
 TEST(TrackCacheTest, PartialResidencyIsAMiss) {
-  TrackCache cache(16, 4);
+  auto disk = Backing(16, 1);
+  TrackCache cache(*disk, 4);
   std::vector<std::uint8_t> one(kFragmentSize, 1);
   cache.Install(0, 1, one);
   std::vector<std::uint8_t> out(kFragmentSize * 2);
@@ -110,7 +130,8 @@ TEST(TrackCacheTest, PartialResidencyIsAMiss) {
 }
 
 TEST(TrackCacheTest, LruEvictsWholeTracks) {
-  TrackCache cache(4, 2);  // 4 fragments per track, 2 tracks capacity
+  auto disk = Backing(4, 7);
+  TrackCache cache(*disk, 2);  // 4 fragments per track, 2 tracks capacity
   std::vector<std::uint8_t> data(kFragmentSize, 7);
   cache.Install(0, 1, data);   // track 0
   cache.Install(4, 1, data);   // track 1
@@ -122,7 +143,8 @@ TEST(TrackCacheTest, LruEvictsWholeTracks) {
 }
 
 TEST(TrackCacheTest, TouchRefreshesLru) {
-  TrackCache cache(4, 2);
+  auto disk = Backing(4, 7);
+  TrackCache cache(*disk, 2);
   std::vector<std::uint8_t> data(kFragmentSize, 7);
   std::vector<std::uint8_t> out(kFragmentSize);
   cache.Install(0, 1, data);  // track 0
@@ -134,7 +156,8 @@ TEST(TrackCacheTest, TouchRefreshesLru) {
 }
 
 TEST(TrackCacheTest, DirtyTrackingAndFlush) {
-  TrackCache cache(8, 4);
+  auto disk = Backing(8);
+  TrackCache cache(*disk, 4);
   std::vector<std::uint8_t> data(kFragmentSize * 2, 0x99);
   cache.Install(3, 2, data, /*dirty=*/true);
   EXPECT_EQ(cache.DirtyCount(), 2u);
@@ -148,7 +171,8 @@ TEST(TrackCacheTest, DirtyTrackingAndFlush) {
 }
 
 TEST(TrackCacheTest, RangeFlushLeavesOthersDirty) {
-  TrackCache cache(8, 4);
+  auto disk = Backing(8);
+  TrackCache cache(*disk, 4);
   std::vector<std::uint8_t> data(kFragmentSize, 1);
   cache.Install(0, 1, data, /*dirty=*/true);
   cache.Install(5, 1, data, /*dirty=*/true);
@@ -159,7 +183,8 @@ TEST(TrackCacheTest, RangeFlushLeavesOthersDirty) {
 }
 
 TEST(TrackCacheTest, DisabledCacheNeverHits) {
-  TrackCache cache(16, 0);
+  auto disk = Backing(16, 1);
+  TrackCache cache(*disk, 0);
   EXPECT_FALSE(cache.enabled());
   std::vector<std::uint8_t> data(kFragmentSize, 1);
   std::vector<std::uint8_t> out(kFragmentSize);
@@ -168,7 +193,8 @@ TEST(TrackCacheTest, DisabledCacheNeverHits) {
 }
 
 TEST(TrackCacheTest, InvalidateAllModelsCrash) {
-  TrackCache cache(8, 4);
+  auto disk = Backing(8);
+  TrackCache cache(*disk, 4);
   std::vector<std::uint8_t> data(kFragmentSize, 1);
   cache.Install(0, 1, data, /*dirty=*/true);
   cache.InvalidateAll();
